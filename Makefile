@@ -24,7 +24,7 @@ BENCH_THRESHOLD ?= 100
 STATICCHECK_MOD ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_MOD ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: test race build vet lint lint-external bench bench-smoke fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke load-smoke
+.PHONY: test race build vet lint lint-external bench bench-smoke fuzz-smoke scenarios-smoke explore-smoke chaos-smoke mux-smoke live-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,15 @@ chaos-smoke:
 mux-smoke:
 	$(GO) test -race -count=1 -run 'TestNodeStress|TestNodePool|TestNodeCloseMidFlight|TestSimPoolDeterminism|TestAdmission|TestEventDrop|TestTCPMux|TestServiceThroughputScales' .
 	$(GO) test -race -short -count=1 -run 'TestMux|TestRetireEpoch|TestEpoch' ./internal/tcpnet ./internal/wire
+
+# live-smoke is the in-process live plane's quick pass, run by CI on every
+# push: the anonnet package ten times over under the race detector (its
+# per-receiver inboxes are shared by every sender and the receiver), then
+# the root-level tests that drive the live transport — Node sessions,
+# scenarios and mid-run cancellation over NewLiveTransport.
+live-smoke:
+	$(GO) test -race -count=10 ./internal/anonnet/
+	$(GO) test -race -count=1 -run 'Live|TestScenarioOverLiveTransport|TestNodeCancellationMidRunLive' .
 
 # load-smoke is the open-loop workload plane's quick pass, run by CI on
 # every push: the workload package (generator, virtual queue model, trace

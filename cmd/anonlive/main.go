@@ -1,6 +1,7 @@
 // Command anonlive runs anonymous consensus over a live in-process network
-// (one goroutine per process, channel broadcast with per-link latencies)
-// and narrates each instance's outcome as it completes.
+// (one goroutine per process, broadcast into per-receiver deadline queues
+// with per-link latencies) and narrates each instance's outcome as it
+// completes.
 //
 // Usage:
 //

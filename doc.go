@@ -48,9 +48,10 @@
 // substrates behind the one interface:
 //
 //   - NewLiveTransport: a live in-process network — one goroutine per
-//     anonymous process, channel broadcast with configurable link
-//     latencies realizing ES (eventually synchronous) and ESS (eventually
-//     stable source) physically, with drifting local round timers.
+//     anonymous process, broadcast into per-receiver deadline queues with
+//     configurable link latencies realizing ES (eventually synchronous)
+//     and ESS (eventually stable source) physically, with drifting local
+//     round timers.
 //
 //   - NewSimTransport: the deterministic lockstep simulator with seeded
 //     adversarial schedules, crash injection and machine-checked

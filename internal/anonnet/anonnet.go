@@ -1,13 +1,19 @@
 // Package anonnet is the real-time runtime: anonymous processes as
-// goroutines, broadcast as channel fan-out with per-link latencies, and
-// GIRAF rounds driven by local timers instead of a lockstep scheduler.
-// Rounds therefore drift apart across processes — the part of the model the
-// deterministic simulator (package sim) does not exercise.
+// goroutines, broadcast as fan-out into per-receiver deadline queues with
+// per-link latencies, and GIRAF rounds driven by local timers instead of a
+// lockstep scheduler. Rounds therefore drift apart across processes — the
+// part of the model the deterministic simulator (package sim) does not
+// exercise.
 //
-// A link is timely in round k when the envelope arrives before the
-// receiver's round-k timer fires; latency profiles realize the paper's
-// environments by keeping the source's links fast (a fraction of the round
-// interval) and everyone else's slow or jittery.
+// Delivery is receiver-driven: a broadcast stamps each copy with the
+// deadline now+latency and pushes it onto the receiver's heap, and the
+// receiver pops it there once the deadline has passed. A run therefore has
+// exactly one goroutine per process. A link is timely in round k when the
+// envelope's deadline falls before the receiver's round-k timer fires:
+// every envelope due by then is popped before that end-of-round, so it is
+// in the round's view. Latency profiles realize the paper's environments by
+// keeping the source's links fast (a fraction of the round interval) and
+// everyone else's slow or jittery.
 package anonnet
 
 import (
@@ -125,16 +131,9 @@ func (r *Result) Decisions() values.Set {
 // network carries the shared state of one run.
 type network struct {
 	cfg  Config
-	in   []chan giraf.Envelope
+	in   []*inbox // in[i] holds the envelopes in flight to process i
 	ctx  context.Context
-	wg   sync.WaitGroup // delivery goroutines
-	done chan int       // process indexes that finished (decided/crashed/cancelled)
-
-	// links[from*N+to] is the lazily started delivery queue of one
-	// directed link; one goroutine per link drains it in deadline order,
-	// bounding the run at O(n²) delivery goroutines total (previously one
-	// goroutine per envelope per link: O(rounds·n²)).
-	links []*linkQueue
+	done chan int // process indexes that finished (decided/crashed/cancelled)
 
 	dropped    atomic.Int64
 	duplicated atomic.Int64
@@ -156,16 +155,13 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 	defer cancel()
 
 	nw := &network{
-		cfg:   cfg,
-		in:    make([]chan giraf.Envelope, cfg.N),
-		ctx:   ctx,
-		done:  make(chan int, cfg.N),
-		links: make([]*linkQueue, cfg.N*cfg.N),
+		cfg:  cfg,
+		in:   make([]*inbox, cfg.N),
+		ctx:  ctx,
+		done: make(chan int, cfg.N),
 	}
 	for i := range nw.in {
-		// Generous buffering: a halted process stops reading and late
-		// deliveries must not block senders.
-		nw.in[i] = make(chan giraf.Envelope, 4096)
+		nw.in[i] = newInbox()
 	}
 
 	start := time.Now()
@@ -194,7 +190,6 @@ func Run(parent context.Context, cfg Config) (*Result, error) {
 	}
 	cancel()
 	procWG.Wait()
-	nw.wg.Wait()
 	if err := parent.Err(); err != nil {
 		return nil, fmt.Errorf("anonnet: run cancelled: %w", err)
 	}
@@ -224,10 +219,12 @@ func (nw *network) runProcess(id int) ProcResult {
 	}
 	ticker := time.NewTicker(nw.cfg.Interval)
 	defer ticker.Stop()
+	in := nw.in[id]
+	defer in.close() // a finished process's inbox drops later pushes
 
 	// Round pacing: on a loaded box the round timer can outpace delivery —
-	// a process that runs two beats while its peers' envelopes sit in the
-	// link queues sees only its own value and can satisfy the ES decide
+	// a process that runs two beats while its peers' envelopes sit
+	// undelivered sees only its own value and can satisfy the ES decide
 	// guard against that starved view, breaking agreement. broadcast never
 	// fans out to the sender, so inbound envelopes are a true peer-traffic
 	// signal: a beat only executes a round once roughly one envelope per
@@ -243,54 +240,53 @@ func (nw *network) runProcess(id int) ProcResult {
 	}
 	inbound := need // satisfied: round 1 fires on the first beat
 	quiet := 0
+	deliver := func(env giraf.Envelope) {
+		proc.Receive(env)
+		inbound++
+	}
 
 	var res ProcResult
 	for {
-		select {
-		case <-nw.ctx.Done():
+		if !in.await(nw.ctx, ticker.C, deliver) {
 			res.Rounds = proc.CurrentRound()
 			return res
-		case env := <-nw.in[id]:
-			proc.Receive(env)
-			inbound++
-		case <-ticker.C:
-			if inbound < need {
-				if quiet++; quiet < maxQuietBeats {
-					continue // pace rounds to peer traffic (see above)
-				}
+		}
+		if inbound < need {
+			if quiet++; quiet < maxQuietBeats {
+				continue // pace rounds to peer traffic (see above)
 			}
-			inbound = 0
-			quiet = 0
-			if crashAfter > 0 && proc.CurrentRound() >= crashAfter {
-				res.Crashed = true
-				res.Rounds = proc.CurrentRound()
-				return res
-			}
-			computing := proc.CurrentRound()
-			if nw.cfg.OnRound != nil {
-				nw.cfg.OnRound(id, computing, aut)
-			}
-			env, ok := proc.EndOfRound()
-			if proc.Halted() {
-				d := proc.Decision()
-				res.Decided = true
-				res.Decision = d.Value
-				res.DecidedRound = computing
-				res.Rounds = proc.CurrentRound()
-				return res
-			}
-			if ok {
-				nw.broadcast(id, env)
-			}
+		}
+		inbound = 0
+		quiet = 0
+		if crashAfter > 0 && proc.CurrentRound() >= crashAfter {
+			res.Crashed = true
+			res.Rounds = proc.CurrentRound()
+			return res
+		}
+		computing := proc.CurrentRound()
+		if nw.cfg.OnRound != nil {
+			nw.cfg.OnRound(id, computing, aut)
+		}
+		env, ok := proc.EndOfRound()
+		if proc.Halted() {
+			d := proc.Decision()
+			res.Decided = true
+			res.Decision = d.Value
+			res.DecidedRound = computing
+			res.Rounds = proc.CurrentRound()
+			return res
+		}
+		if ok {
+			nw.broadcast(id, env)
 		}
 	}
 }
 
-// broadcast fans the envelope out to every peer with per-link delays.
-// Envelopes share one payload snapshot (giraf caches the round view), so
-// fan-out costs one queue entry per link, not a payload copy. Scenario
-// faults act here, at the fan-out: a dropped delivery is never queued and
-// a duplicated one is queued twice.
+// broadcast fans the envelope out to every peer's inbox, each copy due
+// after its link's delay. Envelopes share one payload snapshot (giraf
+// caches the round view), so fan-out costs one heap entry per link, not a
+// payload copy. Scenario faults act here, at the fan-out: a dropped
+// delivery is never queued and a duplicated one is queued twice.
 func (nw *network) broadcast(from int, envl giraf.Envelope) {
 	now := time.Now()
 	sc := nw.cfg.Scenario
@@ -303,28 +299,10 @@ func (nw *network) broadcast(from int, envl giraf.Envelope) {
 			continue
 		}
 		delay := nw.cfg.Latency.Delay(envl.Round, from, to)
-		nw.link(from, to).push(now.Add(delay), envl)
+		nw.in[to].push(now.Add(delay), envl)
 		if sc != nil && sc.Duplicates(envl.Round, from, to) {
 			nw.duplicated.Add(1)
-			nw.link(from, to).push(now.Add(delay+nw.cfg.Interval/2), envl)
+			nw.in[to].push(now.Add(delay+nw.cfg.Interval/2), envl)
 		}
 	}
-}
-
-// link returns (starting if needed) the delivery queue of the from→to
-// link. Only the sender's goroutine touches a given from-row, so lazy
-// initialization needs no lock.
-func (nw *network) link(from, to int) *linkQueue {
-	idx := from*nw.cfg.N + to
-	lq := nw.links[idx]
-	if lq == nil {
-		lq = newLinkQueue()
-		nw.links[idx] = lq
-		nw.wg.Add(1)
-		go func() {
-			defer nw.wg.Done()
-			lq.run(nw.ctx, nw.in[to])
-		}()
-	}
-	return lq
 }

@@ -109,11 +109,13 @@ func TestEmulationOverRegisterStack(t *testing.T) {
 	// This is the constructive content of "registers emulate MS", which
 	// imports FLP into the MS environment.
 	const n = 3
-	cluster := register.NewABD(5)
-	defer cluster.Close()
+	// Proposition 2 needs one single-writer register per process: each
+	// slot is its own ABD cluster, written only by its owner.
 	slots := make([]weakset.Slot, n)
 	for i := range slots {
-		slots[i] = cluster.Writer(i + 1)
+		cluster := register.NewABD(5)
+		defer cluster.Close()
+		slots[i] = cluster
 	}
 	// Each emulated process must add through its own SWMR handle.
 	swmr := weakset.NewFromSWMR(slots)
@@ -137,6 +139,41 @@ func TestEmulationOverRegisterStack(t *testing.T) {
 	}
 	if err := res.CheckMS(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedRegisterSlotsLoseAdds is the negative twin of the register
+// stack above: slots that share one register make it a multi-writer
+// register, and each Add overwrites the others' sets — the clobbering §5
+// of the paper names as the reason classical registers do not give a
+// weak-set. One register per slot keeps every added value.
+func TestSharedRegisterSlotsLoseAdds(t *testing.T) {
+	gets := func(slots []weakset.Slot) values.Set {
+		t.Helper()
+		swmr := weakset.NewFromSWMR(slots)
+		for i, v := range []values.Value{"a", "b"} {
+			if err := swmr.Handle(i).Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := swmr.Handle(0).Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	shared := register.NewABD(5)
+	defer shared.Close()
+	if got := gets([]weakset.Slot{shared.Writer(1), shared.Writer(2)}); got.Contains("a") {
+		t.Errorf("a shared register kept every add: %v", got)
+	}
+
+	ra, rb := register.NewABD(5), register.NewABD(5)
+	defer ra.Close()
+	defer rb.Close()
+	if got := gets([]weakset.Slot{ra, rb}); !got.Contains("a") || !got.Contains("b") {
+		t.Errorf("one register per slot lost an add: %v", got)
 	}
 }
 

@@ -16,8 +16,9 @@ type liveTransport struct {
 }
 
 // NewLiveTransport returns the in-process real-time backend: one goroutine
-// per anonymous process, channel broadcast with per-link latency profiles
-// realizing ES and ESS physically (drifting local round timers).
+// per anonymous process, broadcast into per-receiver deadline queues with
+// per-link latency profiles realizing ES and ESS physically (drifting
+// local round timers).
 func NewLiveTransport() Transport { return &liveTransport{} }
 
 // Name implements Transport.
